@@ -98,3 +98,38 @@ def test_traced_loop_records_every_query():
     assert len(tracer.finished) == n
     assert tracer.span_counts() == {"engine.query": n}
     assert ENGINE_QUERIES.value(kind="scalar") - before == n
+
+
+def test_disabled_overhead_under_five_percent():
+    """The acceptance bar: the no-op check on the engine's query hot
+    path costs < 5% against calling the implementation directly.
+
+    A wall-clock ratio measures the host's load as much as the code, so
+    it runs here with the benchmarks rather than in the unit tests.
+    """
+    engine = CompiledNetwork(build_fig4_network())
+    evidence = {"perception": "none"}
+    for _ in range(50):  # warm the plan cache and the interpreter
+        engine.query("ground_truth", evidence)
+        engine._query("ground_truth", evidence)
+
+    n = 1000
+    # Min-of-N per side catches a quiet scheduling window; a real
+    # overhead regression shows up in *every* attempt, while one-off
+    # timing noise (CPU scaling, co-tenant bursts) does not, so the
+    # test retries before declaring a regression.
+    ratios = []
+    for _ in range(4):
+        wrapped_times, direct_times = [], []
+        for _ in range(7):
+            wrapped_times.append(_loop_seconds(engine.query, "ground_truth",
+                                               evidence, n))
+            direct_times.append(_loop_seconds(engine._query, "ground_truth",
+                                              evidence, n))
+        ratios.append(min(wrapped_times) / min(direct_times))
+        if ratios[-1] <= 1.0 + MAX_DISABLED_OVERHEAD:
+            break
+    assert telemetry.active() is None
+    assert min(ratios) <= 1.0 + MAX_DISABLED_OVERHEAD, (
+        f"disabled-tracing overhead too high in every attempt: "
+        f"ratios {[f'{r:.3f}' for r in ratios]}")

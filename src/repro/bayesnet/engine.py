@@ -606,16 +606,17 @@ class CompiledNetwork:
             out = {s: float(table[j]) / total for j, s in enumerate(states)}
             self._stats.execute_seconds += time.perf_counter() - t0
         else:
-            # Joint too large to materialize: a 1-row pass through the
-            # stacked-calibration substrate — the same kernels
-            # query_batch runs, so batched and scalar answers stay
-            # byte-identical at float64 (batch-invariance of the
+            # Joint too large to materialize: a 1-row, target-directed
+            # pass through the stacked-calibration substrate — the same
+            # kernels query_batch runs, so batched and scalar answers
+            # stay byte-identical at float64 (batch-invariance of the
             # row-wise numpy reductions).
             self._count_plan(hit=self._jt is not None)
             jt = self._junction_tree()
             try:
                 beliefs = jt.calibrate_batch([evidence],
-                                             dtype=self._batch_dtype)
+                                             dtype=self._batch_dtype,
+                                             target=target)
                 vec = beliefs.marginal_batch(target)[0]
             except InferenceError as exc:
                 if getattr(exc, "row_index", None) is not None:
@@ -888,15 +889,16 @@ class CompiledNetwork:
 
         Mixed evidence signatures share the pass: evidence enters as
         per-row one-hot likelihood vectors, so the whole block runs one
-        collect/distribute schedule regardless of which variables each
-        row observes.
+        schedule, directed toward the target's home clique, regardless
+        of which variables each row observes.
         """
         self._count_plan(hit=self._jt is not None)
         jt = self._junction_tree()
         t0 = time.perf_counter()
         stack = [rows[i] for i in indices]
         try:
-            beliefs = jt.calibrate_batch(stack, dtype=self._batch_dtype)
+            beliefs = jt.calibrate_batch(stack, dtype=self._batch_dtype,
+                                         target=target)
             posts = beliefs.marginal_batch(target)
         except InferenceError as exc:
             bad = getattr(exc, "row_index", None)

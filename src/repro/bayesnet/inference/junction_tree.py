@@ -17,22 +17,22 @@ Clique beliefs are materialized lazily per query, so the dominant
 sweep workload — flip one evidence variable, read one posterior — costs
 one potential rebuild plus the messages on paths out of the dirty
 region, not a full propagation.
+
+Batched calibration (:meth:`JunctionTree.calibrate_batch`) runs a whole
+evidence matrix through a message schedule compiled once per (target
+home clique, dtype) into flat step records; a target-directed pass
+sends only the messages toward the target's clique.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 import numpy as np
 
-from repro.bayesnet.factor import (
-    BatchedFactor,
-    Factor,
-    ScalarFactor,
-    multiply_all,
-)
+from repro.bayesnet.factor import Factor, ScalarFactor
 from repro.bayesnet.graph import maximum_spanning_junction_tree, triangulate
-from repro.bayesnet.inference.kernels import one_hot_likelihoods
 from repro.bayesnet.variable import Variable
 from repro.errors import InferenceError
 from repro.telemetry.tracing import active as _trace_active
@@ -42,6 +42,12 @@ POTENTIAL_MEMO_SIZE = 512
 
 #: One clique's evidence restriction: sorted ((name, state), ...) items.
 _PotKey = Tuple[Tuple[str, str], ...]
+
+#: Inbound message slots of a stacked product: ((slot, broadcast shape), ...).
+_Inbound = Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+#: Per variable: (home clique, one-hot broadcast shape, likelihood table).
+_Evidence = Dict[str, Tuple[int, Tuple[int, ...], np.ndarray]]
 
 
 class JunctionTree:
@@ -90,6 +96,11 @@ class JunctionTree:
         for idx, home in enumerate(self._assignment):
             self._clique_factors[home].append(idx)
         self._clique_names: List[List[str]] = [sorted(c) for c in cliques]
+        #: Each variable's home: the first clique holding it.
+        self._home: Dict[str, int] = {}
+        for k, names in enumerate(self._clique_names):
+            for name in names:
+                self._home.setdefault(name, k)
 
         n = len(cliques)
         # -- incremental-calibration state -----------------------------------
@@ -110,14 +121,11 @@ class JunctionTree:
         #: in-place reuse of a previous message's table is then forbidden.
         self._owns_buffers = True
         # -- batched-calibration state ----------------------------------------
-        #: Full-scope clique potentials (no evidence folded in), one list
-        #: per dtype — the immutable bases every stacked calibration
-        #: broadcasts from.  Built lazily per clique.
-        self._batched_bases: Dict[str, List[Optional[Factor]]] = {}
-        #: Reusable message arena: (i, j) -> the last stacked message
-        #: buffer sent over that edge.  Recycled whenever batch size and
-        #: dtype match, so steady-state sweeps allocate nothing per edge.
-        self._batch_arena: Dict[Tuple[int, int], np.ndarray] = {}
+        #: Immutable compiled artifacts, built lazily and shared by identity
+        #: with forked twins: per-dtype clique bases and evidence encodings,
+        #: and the compiled schedules keyed (home clique or None, dtype).
+        self._substrates: Dict[str, Tuple[List[np.ndarray], _Evidence]] = {}
+        self._compiled: Dict[Tuple[Optional[int], str], _Schedule] = {}
         #: Cumulative and last-call propagation work, for EngineStats.
         self.messages_total = 0
         self.messages_recomputed = 0
@@ -145,7 +153,10 @@ class JunctionTree:
         messages (factor tables are never mutated in place once
         published) — but owns private mutable containers, so the clone
         and the original can calibrate divergent evidence sequences
-        concurrently without racing.
+        concurrently without racing.  The compiled stacked schedules and
+        their read-only bases are shared by identity, including those
+        either twin compiles later; ``calibrate_batch`` allocates every
+        buffer it writes per call.
         """
         clone = JunctionTree.__new__(JunctionTree)
         clone.__dict__.update(self.__dict__)
@@ -160,30 +171,29 @@ class JunctionTree:
         # recycle them as in-place output buffers.
         self._owns_buffers = False
         clone._owns_buffers = False
-        # The batched message arena is recycled in place per calibration
-        # and must never be shared across twins.
-        clone._batch_arena = {}
         return clone
 
     def _schedule(self) -> Tuple[List[int], List[Optional[int]],
                                  List[List[int]]]:
         """(DFS order from root 0, parent per clique, children per clique)."""
         if self._plan is None:
-            order = self._dfs_order(0)
-            pos = {node: k for k, node in enumerate(order)}
-            parent: List[Optional[int]] = [None] * len(self.cliques)
+            order, parent = self._rooted(0)
             children: List[List[int]] = [[] for _ in self.cliques]
             for node in order:
-                best = None
-                for j, _ in self._neighbors[node]:
-                    if pos[j] < pos[node] and (best is None
-                                               or pos[j] > pos[best]):
-                        best = j
-                parent[node] = best
-                if best is not None:
-                    children[best].append(node)
+                if parent[node] is not None:
+                    children[parent[node]].append(node)
             self._plan = (order, parent, children)
         return self._plan
+
+    def _rooted(self, root: int) -> Tuple[List[int], List[Optional[int]]]:
+        """(DFS order from ``root``, parent per clique) of the hung tree."""
+        order = self._dfs_order(root)
+        parent: List[Optional[int]] = [None] * len(self.cliques)
+        for node in order:
+            for j, _ in self._neighbors[node]:
+                if j != parent[node]:
+                    parent[j] = node
+        return order, parent
 
     def _pot_key(self, k: int, evidence: Mapping[str, str]) -> _PotKey:
         """Evidence restricted to clique ``k``'s scope, as a hashable key."""
@@ -392,134 +402,163 @@ class JunctionTree:
 
     # -- batched calibration ----------------------------------------------------
 
-    def _batched_base(self, k: int, dtype) -> Factor:
-        """Clique ``k``'s full-scope potential (no evidence), per dtype.
+    def _batched_substrate(self, dtype: np.dtype
+                           ) -> Tuple[List[np.ndarray], _Evidence]:
+        """Per-dtype clique bases and evidence encodings, built once.
 
-        The product of the clique's assigned CPT-factors on a ones-base
-        over *all* clique variables (sorted-name axis order).  Evidence
-        never reduces these tables — the batched path folds evidence in
-        as per-row one-hot likelihoods instead — so the bases are
-        immutable and shared across every stacked calibration (and
-        across forked twins).
+        The bases are every clique's full-scope potential (no
+        evidence): the product of its assigned CPT-factors on a
+        ones-base over *all* clique variables (sorted-name axis order).
+        Evidence never reduces them — the batched path folds evidence in
+        as per-row one-hot likelihoods instead — so they are immutable
+        and shared across every stacked calibration (and across forked
+        twins).  Each variable's encoding is its home clique, the shape
+        its likelihood broadcasts to against that clique, and a
+        ``(card + 1, card)`` table: one one-hot row per state plus an
+        all-ones row (index ``card``) for batch rows that leave it free.
+        Every array is frozen read-only, so sharing them is safe.
         """
-        key = np.dtype(dtype).name
-        bases = self._batched_bases.get(key)
-        if bases is None:
-            bases = [None] * len(self.cliques)
-            self._batched_bases[key] = bases
-        base = bases[k]
-        if base is None:
-            keep = [self._variables[name] for name in self._clique_names[k]]
-            pot = Factor.ones(keep)
-            for idx in self._clique_factors[k]:
-                pot = pot.multiply(self._factors[idx])
-            bases[k] = base = Factor._wrap(
-                pot.variables, np.ascontiguousarray(pot.table, dtype=dtype))
-        return base
+        substrate = self._substrates.get(dtype.name)
+        if substrate is None:
+            bases = []
+            for k, names in enumerate(self._clique_names):
+                pot = Factor.ones([self._variables[name] for name in names])
+                for idx in self._clique_factors[k]:
+                    pot = pot.multiply(self._factors[idx])
+                bases.append(np.ascontiguousarray(pot.table, dtype=dtype))
+            evidence: _Evidence = {}
+            for name, k in self._home.items():
+                card = self._variables[name].cardinality
+                evidence[name] = (
+                    k, tuple(card if other == name else 1
+                             for other in self._clique_names[k]),
+                    np.vstack([np.eye(card, dtype=dtype),
+                               np.ones((1, card), dtype=dtype)]))
+            for table in bases + [e[2] for e in evidence.values()]:
+                table.flags.writeable = False
+            substrate = self._substrates[dtype.name] = (bases, evidence)
+        return substrate
 
-    def _batched_message(self, i: int, j: int,
-                         potentials: List[BatchedFactor],
-                         messages: Dict[Tuple[int, int], BatchedFactor],
-                         sep: FrozenSet[str], dtype) -> None:
-        """Send the stacked message ``i -> j`` into the reusable arena."""
-        inbound = [messages[(k, i)] for k, _ in self._neighbors[i]
-                   if k != j]
-        if inbound:
-            # One private copy of the potential stack, then in-place
-            # products — potentials themselves stay pristine for beliefs.
-            # The copy is forced C-order (batch axis outermost): an
-            # order='K' copy of a zero-stride broadcast view would put
-            # the batch axis innermost, changing np.sum's accumulation
-            # order and breaking bitwise batch-invariance vs n_rows=1.
-            acc = BatchedFactor._wrap(potentials[i].variables,
-                                      potentials[i].table.copy(order="C"))
-            for m in inbound:
-                acc.imultiply(m)
-        else:
-            acc = potentials[i]
-        drop = set(acc.names) - set(sep)
-        kept_shape = (acc.n_rows,) + tuple(
-            v.cardinality for v in acc.variables if v.name not in drop)
-        out = self._batch_arena.get((i, j))
-        if out is None or out.shape != kept_shape \
-                or out.dtype != np.dtype(dtype):
-            out = np.empty(kept_shape, dtype=dtype)
-            self._batch_arena[(i, j)] = out
-        messages[(i, j)] = acc.marginalize(drop, out=out)
+    def _compile(self, home: Optional[int], dtype: np.dtype) -> "_Schedule":
+        """Flatten the stacked message schedule into step records.
+
+        ``home=None`` compiles the full collect/distribute pass (every
+        clique's belief is then readable); a clique index compiles only
+        the ``n - 1`` messages directed toward that clique.  Messages
+        are numbered by step, so each step names its inbound messages
+        by slot — in ``_neighbors`` order, the multiplication order the
+        bytes depend on — with the broadcast shape each one takes
+        against the receiving clique.
+        """
+        order, parent = self._rooted(0 if home is None else home)
+        edges = [(i, parent[i]) for i in reversed(order)
+                 if parent[i] is not None]        # collect: leaves first
+        if home is None:                          # distribute: root first
+            edges += [(parent[j], j) for j in order if parent[j] is not None]
+        slot = {edge: s for s, edge in enumerate(edges)}
+        seps = {(i, j): sep for i in self._neighbors
+                for j, sep in self._neighbors[i]}
+
+        def inbound(i: int, skip: Optional[int]) -> _Inbound:
+            into = self._clique_names[i]
+            return tuple(
+                (slot[(k, i)], tuple(self._variables[name].cardinality
+                                     if name in seps[(k, i)] else 1
+                                     for name in into))
+                for k, _ in self._neighbors[i] if k != skip)
+
+        steps = []
+        for i, j in edges:
+            names = self._clique_names[i]
+            sep = seps[(i, j)]
+            steps.append((
+                i, inbound(i, j),
+                tuple(a + 1 for a, name in enumerate(names)
+                      if name not in sep),
+                tuple(self._variables[name].cardinality
+                      for name in names if name in sep)))
+        bases, evidence = self._batched_substrate(dtype)
+        beliefs = range(len(self.cliques)) if home is None else (home,)
+        schedule = _Schedule(
+            bases=bases, evidence=evidence, steps=tuple(steps),
+            inbound={k: inbound(k, None) for k in beliefs}, root=order[0])
+        self._compiled[(home, dtype.name)] = schedule
+        return schedule
 
     def calibrate_batch(self, rows: Sequence[Mapping[str, str]], *,
-                        dtype=np.float64) -> "BatchedBeliefs":
-        """One stacked collect/distribute pass over an evidence matrix.
+                        dtype=np.float64,
+                        target: Optional[str] = None) -> "BatchedBeliefs":
+        """One stacked calibration pass over an evidence matrix.
 
         Every row of ``rows`` is one evidence assignment; rows with
         *different* evidence signatures ride together.  Evidence enters
         as per-row one-hot likelihoods multiplied into each observed
         variable's home clique, so clique potentials become
         ``(n_rows, *clique shape)`` stacks and the whole matrix moves
-        through the tree's message schedule in single vectorized passes
-        — no per-row python loop.
+        through the tree's compiled message schedule in single
+        vectorized passes — no per-row python loop.
+
+        ``target=None`` runs the full collect/distribute pass, after
+        which :meth:`BatchedBeliefs.marginal_batch` answers any
+        variable.  ``target="name"`` sends only the ``n - 1`` messages
+        directed toward ``name``'s home clique (the first clique holding
+        it) and materializes only that clique's belief: the returned
+        beliefs answer ``marginal_batch`` for variables homed in that
+        clique, bitwise equal to the full pass, at half the messages.
 
         Independent of the incremental scalar state: ``calibrate``'s
         memoized potentials and cached messages are neither read nor
-        disturbed.  Any zero-probability row raises an
-        :class:`~repro.errors.InferenceError` carrying ``row_index``.
-        Message buffers are recycled per tree — consume the returned
-        :class:`BatchedBeliefs` before the next ``calibrate_batch`` on
-        the same tree.
+        disturbed.  Unknown evidence variables or states and an unknown
+        ``target`` raise before any propagation; any zero-probability
+        row raises an :class:`~repro.errors.InferenceError` carrying
+        ``row_index``.  Every call allocates its own buffers, so forked
+        twins may calibrate concurrently.
         """
         n = len(rows)
         if n == 0:
             raise InferenceError(
                 "calibrate_batch needs at least one evidence row")
-        observed: Dict[str, Dict[int, int]] = {}
+        observed: Dict[str, List[int]] = {}
         for r, row in enumerate(rows):
             for name, state in row.items():
                 variable = self._variables.get(name)
                 if variable is None:
                     raise InferenceError(
                         f"evidence variable {name!r} unknown")
-                observed.setdefault(name, {})[r] = variable.index_of(state)
-        order, parent, children = self._schedule()
+                states = observed.get(name)
+                if states is None:  # free rows pick the all-ones row
+                    states = observed[name] = [variable.cardinality] * n
+                states[r] = variable.index_of(state)
+        home = None
+        if target is not None:
+            home = self._home.get(target)
+            if home is None:
+                raise InferenceError(
+                    f"variable {target!r} not found in any clique")
+        dtype = np.dtype(dtype)
+        schedule = self._compiled.get((home, dtype.name))
+        if schedule is None:  # racing twins may both compile; equal results
+            schedule = self._compile(home, dtype)
+        bases = schedule.bases
 
-        home: Dict[int, List[str]] = {}
+        potentials: List[Optional[np.ndarray]] = [None] * len(bases)
         for name in sorted(observed):
-            k = next(k for k, c in enumerate(self.cliques) if name in c)
-            home.setdefault(k, []).append(name)
-        potentials: List[BatchedFactor] = []
-        for k in range(len(self.cliques)):
-            pot = BatchedFactor.broadcast(self._batched_base(k, dtype), n,
-                                          dtype=dtype)
-            names = home.get(k)
-            if names:
-                pot = pot.materialize()
-                for name in names:
-                    lam = one_hot_likelihoods(self._variables[name],
-                                              observed[name], n, dtype=dtype)
-                    pot.imultiply(BatchedFactor._wrap(
-                        [self._variables[name]], lam))
-            potentials.append(pot)
+            k, shape, likelihoods = schedule.evidence[name]
+            pot = potentials[k]
+            if pot is None:
+                pot = potentials[k] = np.empty((n,) + bases[k].shape, dtype)
+                pot[...] = bases[k]
+            pot *= likelihoods[observed[name]].reshape((n,) + shape)
 
-        messages: Dict[Tuple[int, int], BatchedFactor] = {}
-        for i in reversed(order):       # collect: leaves toward root
-            p = parent[i]
-            if p is None:
-                continue
-            sep = next(s for j, s in self._neighbors[i] if j == p)
-            self._batched_message(i, p, potentials, messages, sep, dtype)
-        for i in order:                 # distribute: root toward leaves
-            for j in children[i]:
-                sep = next(s for k, s in self._neighbors[i] if k == j)
-                self._batched_message(i, j, potentials, messages, sep, dtype)
+        messages: List[np.ndarray] = []
+        for i, inbound, axes, kept in schedule.steps:
+            acc = _accumulate(bases[i], potentials[i], inbound, messages, n)
+            out = np.empty((n,) + kept, dtype)
+            acc.sum(axis=axes, out=out)
+            messages.append(out)
 
-        beliefs = BatchedBeliefs(self, potentials, messages)
-        z = beliefs.partition()
-        bad = np.flatnonzero(~(z > 0.0))
-        if bad.size:
-            exc = InferenceError(
-                f"evidence row {int(bad[0])} has probability 0 under "
-                "the model")
-            exc.row_index = int(bad[0])
-            raise exc
+        beliefs = BatchedBeliefs(self, schedule, potentials, messages, n)
+        _check_rows(beliefs.partition())
         return beliefs
 
     def _invalidate(self) -> None:
@@ -569,12 +608,11 @@ class JunctionTree:
         if name in self._evidence:
             return {s: (1.0 if s == self._evidence[name] else 0.0)
                     for s in self._variables[name].states}
-        for k, clique in enumerate(self.cliques):
-            if name in clique:
-                belief = self._belief(k)
-                drop = set(belief.names) - {name}
-                return belief.marginalize(drop).distribution()
-        raise InferenceError(f"variable {name!r} not found in any clique")
+        if name not in self._home:
+            raise InferenceError(f"variable {name!r} not found in any clique")
+        belief = self._belief(self._home[name])
+        drop = set(belief.names) - {name}
+        return belief.marginalize(drop).distribution()
 
     def joint_marginal(self, names: Sequence[str]) -> Factor:
         """Joint posterior of variables that co-occur in one clique."""
@@ -623,54 +661,100 @@ class JunctionTree:
                 f"max_clique={self.width})")
 
 
+class _Schedule(NamedTuple):
+    """One compiled stacked-calibration schedule (per home clique, dtype).
+
+    ``steps`` are ``(source clique, inbound, sum axes, kept shape)``
+    records; step ``s`` writes message slot ``s``.  ``inbound`` entries
+    are ``(slot, broadcast shape)`` pairs in ``_neighbors`` order.
+    ``evidence`` maps each variable to its home clique, its one-hot
+    broadcast shape against that clique and its likelihood table.
+    """
+
+    bases: List[np.ndarray]
+    evidence: _Evidence
+    steps: Tuple[Tuple[int, _Inbound, Tuple[int, ...], Tuple[int, ...]], ...]
+    #: Clique -> inbound slots, for every belief this schedule serves.
+    inbound: Dict[int, _Inbound]
+    #: The clique whose belief prices each row's evidence.
+    root: int
+
+
+def _accumulate(base: np.ndarray, potential: Optional[np.ndarray],
+                inbound: _Inbound, messages: List[np.ndarray],
+                n: int) -> np.ndarray:
+    """A clique's ``(n, *shape)`` potential stack times its inbound messages.
+
+    The product lands in a private C-order copy (batch axis outermost,
+    so each row's later reductions accumulate in the same order for any
+    ``n``).  With nothing to multiply, the potential itself is returned:
+    the evidence-multiplied stack, or a zero-stride view of the shared
+    base — the layout ``np.broadcast_to`` gives, which fixes the order
+    the caller's sums accumulate in (DESIGN §12).  Callers only read the
+    result.
+    """
+    if inbound:
+        acc = np.empty((n,) + base.shape, base.dtype)
+        acc[...] = base if potential is None else potential
+        for slot, shape in inbound:
+            acc *= messages[slot].reshape((n,) + shape)
+        return acc
+    if potential is None:
+        return np.ndarray((n,) + base.shape, base.dtype, base, 0,
+                          (0,) + base.strides)
+    return potential
+
+
+def _check_rows(z: np.ndarray) -> None:
+    """Raise for the first row whose evidence mass ``z`` is not positive;
+    the :class:`~repro.errors.InferenceError` carries its ``row_index``."""
+    bad = np.flatnonzero(~(z > 0.0))
+    if bad.size:
+        exc = InferenceError(
+            f"evidence row {int(bad[0])} has probability 0 under the model")
+        exc.row_index = int(bad[0])
+        raise exc
+
+
 class BatchedBeliefs:
     """Calibrated stacked clique beliefs for one evidence matrix.
 
     The query surface of :meth:`JunctionTree.calibrate_batch`: per-row
     posteriors come out as ``(n_rows, cardinality)`` arrays.  Beliefs
-    materialize lazily per clique.  Because message buffers live in the
-    tree's reusable arena, consume this object before calling
-    ``calibrate_batch`` on the same tree again.
+    materialize lazily per clique; a target-directed pass serves only
+    its target's home clique.
     """
 
-    def __init__(self, tree: JunctionTree,
-                 potentials: List[BatchedFactor],
-                 messages: Dict[Tuple[int, int], BatchedFactor]):
+    def __init__(self, tree: JunctionTree, schedule: _Schedule,
+                 potentials: List[Optional[np.ndarray]],
+                 messages: List[np.ndarray], n_rows: int):
         self._tree = tree
+        self._schedule = schedule
         self._potentials = potentials
         self._messages = messages
-        self._beliefs: List[Optional[BatchedFactor]] = [None] * len(potentials)
+        self.n_rows = n_rows
+        self._beliefs: Dict[int, np.ndarray] = {}
         self._z: Optional[np.ndarray] = None
 
-    @property
-    def n_rows(self) -> int:
-        return self._potentials[0].n_rows
-
-    def _belief(self, i: int) -> BatchedFactor:
-        belief = self._beliefs[i]
+    def _belief(self, k: int) -> np.ndarray:
+        belief = self._beliefs.get(k)
         if belief is None:
-            inbound = [self._messages[(j, i)]
-                       for j, _ in self._tree._neighbors[i]]
-            if inbound:
-                # C-order copy for the same batch-invariance reason as
-                # JunctionTree._batched_message: keep the batch axis
-                # outermost so per-row reduction order is independent of
-                # n_rows.
-                belief = BatchedFactor._wrap(
-                    self._potentials[i].variables,
-                    self._potentials[i].table.copy(order="C"))
-                for m in inbound:
-                    belief.imultiply(m)
-            else:
-                belief = self._potentials[i]
-            self._beliefs[i] = belief
+            inbound = self._schedule.inbound.get(k)
+            if inbound is None:
+                raise InferenceError(
+                    f"clique {k} is not calibrated by this target-directed "
+                    "pass; calibrate toward its variables instead")
+            belief = _accumulate(self._schedule.bases[k],
+                                 self._potentials[k], inbound,
+                                 self._messages, self.n_rows)
+            self._beliefs[k] = belief
         return belief
 
     def partition(self) -> np.ndarray:
         """Per-row evidence mass: the ``(n_rows,)`` Z vector."""
         if self._z is None:
-            root = self._tree._schedule()[0][0]
-            self._z = self._belief(root).partition()
+            belief = self._belief(self._schedule.root)
+            self._z = belief.sum(axis=tuple(range(1, belief.ndim)))
         return self._z
 
     def marginal_batch(self, name: str) -> np.ndarray:
@@ -680,21 +764,16 @@ class BatchedBeliefs:
         one-hot vectors — the indicator encoding zeroes every other
         state bitwise, so no per-row special-casing is needed.
         """
-        for k, clique in enumerate(self._tree.cliques):
-            if name in clique:
-                belief = self._belief(k)
-                drop = set(belief.names) - {name}
-                marg = belief.marginalize(drop)
-                z = marg.table.sum(axis=1)
-                bad = np.flatnonzero(~(z > 0.0))
-                if bad.size:
-                    exc = InferenceError(
-                        f"evidence row {int(bad[0])} has probability 0 "
-                        "under the model")
-                    exc.row_index = int(bad[0])
-                    raise exc
-                return marg.table / z[:, None]
-        raise InferenceError(f"variable {name!r} not found in any clique")
+        k = self._tree._home.get(name)
+        if k is None:
+            raise InferenceError(f"variable {name!r} not found in any clique")
+        belief = self._belief(k)
+        axes = tuple(a + 1 for a, other in
+                     enumerate(self._tree._clique_names[k]) if other != name)
+        marg = belief.sum(axis=axes) if axes else belief.copy()
+        z = marg.sum(axis=1)
+        _check_rows(z)
+        return marg / z[:, None]
 
     def __repr__(self) -> str:
         return (f"BatchedBeliefs(rows={self.n_rows}, "

@@ -37,29 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_GIBBS_CHAINS = 32
 
 
-def one_hot_likelihoods(variable, observations, n_rows: int,
-                        dtype=np.float64) -> np.ndarray:
-    """Per-row indicator likelihoods for one variable: ``(n_rows, card)``.
-
-    ``observations`` maps row index -> observed state index.  Unobserved
-    rows get an all-ones likelihood (the variable stays free); observed
-    rows get a one-hot vector.  Multiplying these into a clique
-    potential stack is the batched-calibration encoding of evidence:
-    exact 0/1 arithmetic keeps the surviving entries bitwise identical
-    to the scalar path's evidence slicing, while rows with *different*
-    evidence signatures ride through one collect/distribute pass.
-    """
-    lam = np.ones((n_rows, variable.cardinality), dtype=dtype)
-    if observations:
-        rows = np.fromiter(observations.keys(), dtype=np.intp,
-                           count=len(observations))
-        states = np.fromiter(observations.values(), dtype=np.intp,
-                             count=len(observations))
-        lam[rows] = 0.0
-        lam[rows, states] = 1.0
-    return lam
-
-
 class _NodePlan:
     """Flat per-node artifacts: parent columns, strides, CPT row tables."""
 

@@ -65,7 +65,11 @@ class IntervalProbability:
     def or_independent(self, other: "IntervalProbability") -> "IntervalProbability":
         lo = self.lower + other.lower - self.lower * other.lower
         hi = self.upper + other.upper - self.upper * other.upper
-        return IntervalProbability(lo, hi)
+        # The ends are rounded separately, so a near-precise operand can
+        # leave lo one ulp above hi (or hi above 1); round outward to keep
+        # the exact interval enclosed.
+        return IntervalProbability(max(0.0, min(lo, hi)),
+                                   min(1.0, max(lo, hi)))
 
     def and_frechet(self, other: "IntervalProbability") -> "IntervalProbability":
         """Conjunction bounds with *unknown dependence* (Frechet-Hoeffding)."""

@@ -395,8 +395,8 @@ class InferenceService:
         if error_budget is not None and error_budget < 0.0:
             raise ServingError(
                 f"error_budget must be non-negative, got {error_budget}")
-        evidence = dict(request.evidence or {})
-        self._validate(request.target, evidence)
+        evidence = self._validate(request.target,
+                                  dict(request.evidence or {}))
         # Correlation: reuse the id the HTTP layer (or any caller) bound,
         # else mint one here, so every span/flight event this request
         # touches carries the same request_id.
@@ -469,11 +469,9 @@ class InferenceService:
         if deadline <= 0.0:
             raise ServingError(
                 f"deadline_seconds must be positive, got {deadline}")
-        rows = [dict(r) for r in evidence_rows]
+        rows = [self._validate(target, dict(r)) for r in evidence_rows]
         if not rows:
             raise ServingError("batch needs at least one evidence row")
-        for row in rows:
-            self._validate(target, row)
         with correlate(current_request_id()) as rid:
             with self._lock:
                 if self._inflight >= self.max_inflight:
@@ -552,12 +550,20 @@ class InferenceService:
                 with self._lock:
                     self._inflight -= 1
 
-    def _validate(self, target: str, evidence: Dict[str, str]) -> None:
+    def _validate(self, target: str,
+                  evidence: Dict[str, str]) -> Dict[str, str]:
         """Reject malformed queries up front — bad requests must not trip
-        breakers or consume ladder budget."""
+        breakers or consume ladder budget.
+
+        Returns ``evidence`` (same order, equal strings) rewritten onto
+        the network's own ``Variable.name`` / ``Variable.states`` string
+        objects, so the result and posterior caches keyed on it share
+        those strings instead of holding each request's decoded copies.
+        """
         if target in evidence:
             raise InferenceError(
                 f"{target!r} is both queried and observed")
+        shared: Dict[str, Tuple[str, str]] = {}
         for name, state in [(target, None)] + sorted(evidence.items()):
             try:
                 variable = self._network.variable(name)
@@ -565,10 +571,15 @@ class InferenceService:
                 # Normalize to the request-level error type so the HTTP
                 # layer maps it to 400, not 500.
                 raise InferenceError(str(exc)) from exc
-            if state is not None and state not in variable.states:
+            if state is None:
+                continue
+            if state not in variable.states:
                 raise InferenceError(
                     f"unknown state {state!r} for variable {name!r} "
                     f"(states: {list(variable.states)})")
+            shared[name] = (variable.name,
+                            variable.states[variable.states.index(state)])
+        return dict(shared[name] for name in evidence)
 
     def _answer(self, target: str, evidence: Dict[str, str],
                 deadline: float,

@@ -66,6 +66,19 @@ class TestValidation:
         with pytest.raises(ServingError, match="deadline"):
             service.submit("ground_truth", deadline_seconds=0.0)
 
+    def test_cache_keys_hold_the_networks_own_strings(self, service):
+        # Fresh string objects, as decoded from each request's JSON.
+        name, state = "".join(["percep", "tion"]), "".join(["ca", "r"])
+        response = service.submit("ground_truth", {name: state})
+        assert response.evidence == {"perception": "car"}
+        variable = service.pool.template.network.variable("perception")
+        (key,) = [k for k in service._results if k[0] == "ground_truth"]
+        ((held_name, held_state),) = key[1]
+        assert held_name is variable.name
+        assert held_state is variable.states[variable.index_of("car")]
+        rows = service.submit_batch("ground_truth", [{name: state}])
+        assert rows[0]["evidence"] == {"perception": "car"}
+
     def test_bad_requests_do_not_degrade_health(self, service):
         for _ in range(5):
             with pytest.raises(InferenceError):

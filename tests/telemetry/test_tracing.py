@@ -1,7 +1,10 @@
-"""Tracer behavior: nesting, determinism, bounds, errors, zero cost."""
+"""Tracer behavior: nesting, determinism, bounds, errors.
+
+The zero-cost-when-disabled wall-clock check lives in EXT-P
+(``benchmarks/test_bench_telemetry.py``): it measures host load.
+"""
 
 import threading
-import time
 
 import pytest
 
@@ -187,48 +190,3 @@ class TestThreadSafety:
             assert (by_name[f"child-{label}"].parent_id
                     == by_name[f"root-{label}"].span_id)
 
-
-class TestZeroCostWhenDisabled:
-    def test_disabled_overhead_under_five_percent(self):
-        """The acceptance bar: the no-op check on the engine's query hot
-        path costs < 5% against calling the implementation directly."""
-        from repro.bayesnet.engine import CompiledNetwork
-        from repro.perception.chain import build_fig4_network
-
-        engine = CompiledNetwork(build_fig4_network())
-        evidence = {"perception": "none"}
-        for _ in range(50):  # warm the plan cache and the interpreter
-            engine.query("ground_truth", evidence)
-            engine._query("ground_truth", evidence)
-
-        n = 1000
-
-        def loop_wrapped() -> float:
-            t0 = time.perf_counter()
-            for _ in range(n):
-                engine.query("ground_truth", evidence)
-            return time.perf_counter() - t0
-
-        def loop_direct() -> float:
-            t0 = time.perf_counter()
-            for _ in range(n):
-                engine._query("ground_truth", evidence)
-            return time.perf_counter() - t0
-
-        # Min-of-N per side catches a quiet scheduling window; a real
-        # overhead regression shows up in *every* attempt, while one-off
-        # timing noise (CPU scaling, co-tenant bursts) does not, so the
-        # test retries before declaring a regression.
-        ratios = []
-        for _ in range(4):
-            wrapped_times, direct_times = [], []
-            for _ in range(7):
-                wrapped_times.append(loop_wrapped())
-                direct_times.append(loop_direct())
-            ratios.append(min(wrapped_times) / min(direct_times))
-            if ratios[-1] <= 1.05:
-                break
-        assert telemetry.active() is None
-        assert min(ratios) <= 1.05, (
-            f"disabled-tracing overhead too high in every attempt: "
-            f"ratios {[f'{r:.3f}' for r in ratios]}")
